@@ -1,13 +1,14 @@
 # Developer checks. `make check` is the gate a change must pass: static
-# analysis, a full build, the race-enabled test suite, a crash-
-# consistency smoke sweep over every file system plus the raw store, and
-# a machine-readable bench run whose JSON must validate.
+# analysis, a full build, the race-enabled test suite, a schedule-
+# perturbation pass over the serve suites, a crash-consistency smoke
+# sweep over every file system plus the raw store, and a
+# machine-readable bench run whose JSON must validate.
 
 GO ?= go
 
-.PHONY: check vet build test race crashtest scrub repair faults bench-json serve servebench netfaults aging shard
+.PHONY: check vet build test race crashtest scrub repair faults bench-json serve servebench netfaults perturb aging shard
 
-check: vet build race crashtest scrub repair faults serve servebench netfaults aging shard bench-json
+check: vet build race crashtest scrub repair faults serve servebench netfaults perturb aging shard bench-json
 
 vet:
 	$(GO) vet ./...
@@ -85,7 +86,7 @@ serve:
 # Async pipelined wire path (DESIGN.md §13): the multiplexing client
 # (out-of-order completion, window saturation, transport-death and
 # tag-mismatch poison, Reset), pipelined server execution (issue-order
-# writes per handle, per-directory namespace ordering, concurrent
+# writes per handle, per-session namespace ordering, concurrent
 # sessions), the scatter-gather frame equivalence, the buffered bench
 # transport, the §13 spec drift tests, and the pinned deterministic
 # goldens — all under the race detector. Then a concurrent serve run
@@ -110,6 +111,19 @@ servebench:
 netfaults:
 	$(GO) test -race -count=1 ./internal/nettest/
 	$(GO) test -race -count=1 -run 'ResetRacesInFlightGo|CloseRacesRedialLoop' ./internal/fsrpc/
+
+# Schedule perturbation: the serve, pipeline and wire-fault suites, and
+# the serve write-death sweep, without -race at -count=20 under one, two
+# and eight scheduler threads. The race detector's extra
+# timing can hide an ordering bug (a pipelined CREATE overtaking the
+# MKDIR of its directory passed every -race run and failed a third of
+# plain runs); varying GOMAXPROCS over repeated runs makes such a bug
+# fail most passes instead. The race runs above stay as they are.
+perturb:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/fsserve/ ./internal/nettest/ && \
+		GOMAXPROCS=$$p $(GO) test -count=20 -run 'ServerWriteDeath' ./internal/faulttest/ || exit 1; \
+	done
 
 # FTL aging rung (DESIGN.md §12): discard plumbing correctness under
 # the race detector — the crash sweeps over FTL-backed stacks, the

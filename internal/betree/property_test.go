@@ -48,14 +48,26 @@ func (md *model) sortedKeys() []string {
 	return out
 }
 
-// TestRandomOpsAgainstModel drives a long random operation sequence
-// against both the Bε-tree and the model, verifying point queries, full
-// scans, and survival across checkpoints and reopens.
+// TestRandomOpsAgainstModel drives long operation sequences against both
+// the Bε-tree and the model, verifying point queries, full scans, and
+// survival across checkpoints and reopens. The inputs are three seeded
+// random op mixes plus one ascending insert-then-delete-all sequence, the
+// rm -rf shape whose deletes land at the front of their basements.
 func TestRandomOpsAgainstModel(t *testing.T) {
-	for _, seed := range []uint64{3, 17, 99} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			env := sim.NewEnv(seed)
+	type input struct {
+		name string
+		seed uint64
+		ops  func(t *testing.T, s *Store, tr *Tree, md *model, rnd *sim.Rand)
+	}
+	inputs := []input{
+		{"seed=3", 3, randomOps},
+		{"seed=17", 17, randomOps},
+		{"seed=99", 99, randomOps},
+		{"ascending", 5, ascendingInsertDeleteAll},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			env := sim.NewEnv(in.seed)
 			dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
 			backend, berr := sfl.NewDefault(env, dev)
 			if berr != nil {
@@ -73,47 +85,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 			tr := s.Meta()
 			md := newModel()
-			rnd := sim.NewRand(seed)
-
-			key := func() string {
-				return fmt.Sprintf("p%d/f%04d", rnd.Intn(4), rnd.Intn(400))
-			}
-			const ops = 6000
-			for i := 0; i < ops; i++ {
-				switch rnd.Intn(10) {
-				case 0, 1, 2, 3, 4: // insert
-					k := key()
-					v := bytes.Repeat([]byte{byte(rnd.Intn(256))}, 8+rnd.Intn(120))
-					tr.Put([]byte(k), v, LogAuto)
-					md.put(k, v)
-				case 5: // delete
-					k := key()
-					tr.Delete([]byte(k), LogAuto)
-					md.del(k)
-				case 6: // range delete of one directory (raw slash keys,
-					// so the subtree range is ["p/", "p0") in byte order)
-					d := fmt.Sprintf("p%d", rnd.Intn(4))
-					tr.DeleteRange([]byte(d+"/"), []byte(d+"0"), LogAuto)
-					md.delRange(d+"/", d+"0")
-				case 7: // blind update (absent keys materialize zeros)
-					k := key()
-					off := rnd.Intn(64)
-					patch := []byte{byte(i)}
-					tr.Update([]byte(k), off, patch, LogAuto)
-					md.update(k, off, patch)
-				case 8: // point query
-					k := key()
-					got, ok, _ := tr.Get([]byte(k))
-					want, wok := md.m[k]
-					if ok != wok || (ok && !bytes.Equal(got, want)) {
-						t.Fatalf("op %d: Get(%q) = (%v,%v), want (%v,%v)", i, k, got, ok, want, wok)
-					}
-				case 9: // checkpoint sometimes
-					if rnd.Intn(4) == 0 {
-						s.Checkpoint()
-					}
-				}
-			}
+			in.ops(t, s, tr, md, sim.NewRand(in.seed))
 			verifyAgainstModel(t, tr, md)
 
 			// Survive a clean reopen.
@@ -124,6 +96,84 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 			verifyAgainstModel(t, s2.Meta(), md)
 		})
+	}
+}
+
+// randomOps is a seeded mix of inserts, point and range deletes, blind
+// updates, point queries and checkpoints over 1 600 keys in 4 directories.
+func randomOps(t *testing.T, s *Store, tr *Tree, md *model, rnd *sim.Rand) {
+	key := func() string {
+		return fmt.Sprintf("p%d/f%04d", rnd.Intn(4), rnd.Intn(400))
+	}
+	const ops = 6000
+	for i := 0; i < ops; i++ {
+		switch rnd.Intn(10) {
+		case 0, 1, 2, 3, 4: // insert
+			k := key()
+			v := bytes.Repeat([]byte{byte(rnd.Intn(256))}, 8+rnd.Intn(120))
+			tr.Put([]byte(k), v, LogAuto)
+			md.put(k, v)
+		case 5: // delete
+			k := key()
+			tr.Delete([]byte(k), LogAuto)
+			md.del(k)
+		case 6: // range delete of one directory (raw slash keys,
+			// so the subtree range is ["p/", "p0") in byte order)
+			d := fmt.Sprintf("p%d", rnd.Intn(4))
+			tr.DeleteRange([]byte(d+"/"), []byte(d+"0"), LogAuto)
+			md.delRange(d+"/", d+"0")
+		case 7: // blind update (absent keys materialize zeros)
+			k := key()
+			off := rnd.Intn(64)
+			patch := []byte{byte(i)}
+			tr.Update([]byte(k), off, patch, LogAuto)
+			md.update(k, off, patch)
+		case 8: // point query
+			k := key()
+			got, ok, _ := tr.Get([]byte(k))
+			want, wok := md.m[k]
+			if ok != wok || (ok && !bytes.Equal(got, want)) {
+				t.Fatalf("op %d: Get(%q) = (%v,%v), want (%v,%v)", i, k, got, ok, want, wok)
+			}
+		case 9: // checkpoint sometimes
+			if rnd.Intn(4) == 0 {
+				s.Checkpoint()
+			}
+		}
+	}
+}
+
+// ascendingInsertDeleteAll inserts keys in ascending order, then removes
+// every one in the same order: point deletes for the first three quarters
+// and 4-key range deletes for the rest, checking the tree against the
+// model halfway and across a checkpoint.
+func ascendingInsertDeleteAll(t *testing.T, s *Store, tr *Tree, md *model, rnd *sim.Rand) {
+	const n = 1200
+	key := func(i int) string { return fmt.Sprintf("p0/f%04d", i) }
+	for i := 0; i < n; i++ {
+		v := bytes.Repeat([]byte{byte(rnd.Intn(256))}, 8+rnd.Intn(24))
+		tr.Put([]byte(key(i)), v, LogAuto)
+		md.put(key(i), v)
+	}
+	verifyAgainstModel(t, tr, md)
+	i := 0
+	for ; i < 3*n/4; i++ {
+		tr.Delete([]byte(key(i)), LogAuto)
+		md.del(key(i))
+		if _, ok, _ := tr.Get([]byte(key(i))); ok {
+			t.Fatalf("Get(%q) found a deleted key", key(i))
+		}
+		if i == n/2 {
+			verifyAgainstModel(t, tr, md)
+			s.Checkpoint()
+		}
+	}
+	for ; i < n; i += 4 {
+		tr.DeleteRange([]byte(key(i)), []byte(key(i+4)), LogAuto)
+		md.delRange(key(i), key(i+4))
+	}
+	if len(md.m) != 0 {
+		t.Fatalf("model holds %d keys after deleting all", len(md.m))
 	}
 }
 

@@ -89,8 +89,19 @@ func TestServerWriteDeathUnderConcurrentClients(t *testing.T) {
 				wg.Add(1)
 				go func(c int, cli *fsrpc.Client) {
 					defer wg.Done()
-					if err := cli.Mkdir(fmt.Sprintf("c%d", c)); !wireErrOK(err) {
+					dir := fmt.Sprintf("c%d", c)
+					if err := cli.Mkdir(dir); !wireErrOK(err) {
 						badErr[c] = fmt.Errorf("mkdir: %w", err)
+						return
+					} else if err != nil {
+						// The mkdir failed inside the contract (typically
+						// EROFS: another client already latched the mount
+						// read-only), so the directory must not exist: a
+						// create inside it is ENOENT and nothing else.
+						path := dir + "/f00"
+						if _, _, err := cli.Create(path); !errors.Is(err, vfs.ErrNotExist) {
+							badErr[c] = fmt.Errorf("create %s after failed mkdir: %v, want ENOENT", path, err)
+						}
 						return
 					}
 					for i := 0; i < opsPerCli; i++ {

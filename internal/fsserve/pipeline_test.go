@@ -75,9 +75,10 @@ func TestPipelinedWritesApplyInIssueOrder(t *testing.T) {
 
 // TestPipelinedNamespaceOrder pipelines dependent directory mutations —
 // mkdir parent, create children inside it, rename, unlink — without
-// waiting for replies. The per-directory chains must execute them in
-// issue order: every call succeeds, and the final namespace matches the
-// sequential result.
+// waiting for replies. The session's namespace chain must execute them
+// in issue order, even though the mkdir names a different parent
+// directory than the creates: every call succeeds, and the final
+// namespace matches the sequential result.
 func TestPipelinedNamespaceOrder(t *testing.T) {
 	_, srv := pipelinedServer(t)
 	cli := dial(t, srv)

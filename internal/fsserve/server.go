@@ -217,10 +217,9 @@ type task struct {
 	req      *fsrpc.Request
 	enqueued time.Time
 
-	chainKeys [2]uint64
-	nchains   int
-	prev      [2]chan struct{} // predecessors' done; nil at a chain head
-	done      chan struct{}    // closed once this task's turn is over
+	chainKey uint64
+	prev     chan struct{} // predecessor's done; nil at a chain head
+	done     chan struct{} // closed once this task's turn is over; nil when chainless
 }
 
 // Server serves fsrpc requests against one vfs.Mount.
@@ -337,7 +336,7 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 			sess.touch(s.now())
 		}
 		if s.cfg.DirectReads && !sess.inline {
-			if _, n := chainKeys(req); n == 0 {
+			if _, ok := chainKey(req); !ok {
 				if st := s.serveDirect(sess, req); st != fsrpc.StatusOK {
 					s.m.statusErr.Inc()
 					sess.sendReply(&fsrpc.Reply{Op: req.Op, Tag: req.Tag, Status: st}, nil, nil)
@@ -429,10 +428,8 @@ func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for t := range s.queue {
 		s.m.queueDepth.Add(-1)
-		for i := 0; i < t.nchains; i++ {
-			if t.prev[i] != nil {
-				<-t.prev[i]
-			}
+		if t.prev != nil {
+			<-t.prev
 		}
 		var rep *fsrpc.Reply
 		var data *[]byte

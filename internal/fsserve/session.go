@@ -151,127 +151,84 @@ func newSession(srv *Server, rw io.ReadWriteCloser) *session {
 	return s
 }
 
-// handleKeyBit separates handle-chain keys from directory-chain keys in
-// the session chain table (a collision would only over-serialize, never
-// misorder, but keeping the spaces apart makes depth observable per
-// class).
+// handleKeyBit separates handle-chain keys from the namespace chain key
+// in the session chain table.
 const handleKeyBit = uint64(1) << 63
 
-// dirKey hashes a directory path into the chain-key space (FNV-1a, with
-// the handle bit cleared).
-func dirKey(dir string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(dir); i++ {
-		h ^= uint64(dir[i])
-		h *= prime64
-	}
-	return h &^ handleKeyBit
-}
+// namespaceKey is the one per-session chain every path-mutating op joins.
+// Its handle bit is clear, so no handle chain can share it.
+const namespaceKey = uint64(0)
 
-// parentDir returns the directory component of a wire path ("" for a
-// top-level name), mirroring how the mount resolves parents.
-func parentDir(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return ""
-}
-
-// chainKeys classifies q for the §13.5 ordering guarantees: WRITE/FSYNC
-// order per handle, path-mutating ops order per affected parent directory
-// (RENAME and RMDIR join the chain of every directory they touch, up to
-// two), and everything else (reads) runs unordered. Keying mutations by
-// directory rather than one per-session namespace chain lets pipelined
-// clients mutate disjoint directories concurrently while same-directory
-// mutations still apply in issue order.
-func chainKeys(q *fsrpc.Request) (keys [2]uint64, n int) {
+// chainKey classifies q for the §13.5 ordering guarantees: WRITE/FSYNC
+// and the block mutations order per handle, path-mutating ops order on
+// one per-session namespace chain, and everything else (reads) runs
+// unordered (ok false). A single namespace chain costs no parallelism —
+// the mount serializes namespace mutations under its big lock anyway —
+// and, unlike chains keyed by path, it orders a CREATE behind a
+// pipelined MKDIR of its directory or RENAME of one of its ancestors.
+func chainKey(q *fsrpc.Request) (key uint64, ok bool) {
 	switch q.Op {
 	case fsrpc.OpWrite, fsrpc.OpFsync:
-		keys[0] = q.Handle | handleKeyBit
-		return keys, 1
+		return q.Handle | handleKeyBit, true
 	case fsrpc.OpBwrite, fsrpc.OpBflush, fsrpc.OpBdiscard:
 		// Block mutations chain per block handle so a pipelined
 		// write→flush applies in issue order. Block and file handles are
 		// separate id spaces sharing one chain-key space; a collision
 		// only over-serializes, never misorders. BREAD stays chainless
 		// (DirectReads fast path), like READ.
-		keys[0] = q.Handle | handleKeyBit
-		return keys, 1
-	case fsrpc.OpCreate, fsrpc.OpMkdir, fsrpc.OpUnlink:
-		keys[0] = dirKey(parentDir(q.Path))
-		return keys, 1
-	case fsrpc.OpRmdir:
-		keys[0] = dirKey(parentDir(q.Path))
-		keys[1] = dirKey(q.Path) // creations inside must settle first
-	case fsrpc.OpRename:
-		keys[0] = dirKey(parentDir(q.Path))
-		keys[1] = dirKey(parentDir(q.Path2))
+		return q.Handle | handleKeyBit, true
+	case fsrpc.OpCreate, fsrpc.OpMkdir, fsrpc.OpUnlink, fsrpc.OpRmdir, fsrpc.OpRename:
+		return namespaceKey, true
 	default:
-		return keys, 0
+		return 0, false
 	}
-	if keys[1] == keys[0] {
-		return keys, 1
-	}
-	return keys, 2
 }
 
-// link places t at the tail of its ordering chains (if its op has any).
+// link places t at the tail of its ordering chain (if its op has one).
 // Called from the session reader only, so links happen in wire order —
-// which is what makes chain order equal the client's issue order. A task
-// spanning two chains (RENAME, RMDIR) installs the same done channel as
-// both tails; every wait edge points at an earlier-admitted task, so the
-// wait graph cannot cycle.
+// which is what makes chain order equal the client's issue order. Every
+// wait edge points at an earlier-admitted task, so the wait graph cannot
+// cycle.
 func (s *session) link(t *task) {
-	keys, n := chainKeys(t.req)
-	if n == 0 {
+	key, ok := chainKey(t.req)
+	if !ok {
 		return
 	}
 	s.omu.Lock()
-	t.chainKeys = keys
-	t.nchains = n
+	t.chainKey = key
 	t.done = make(chan struct{})
-	for i := 0; i < n; i++ {
-		t.prev[i] = s.chains[keys[i]] // nil for a fresh chain
-		s.chains[keys[i]] = t.done
-	}
+	t.prev = s.chains[key] // nil for a fresh chain
+	s.chains[key] = t.done
 	s.omu.Unlock()
 }
 
 // unlink undoes link after a failed admission (queue full). Safe because
 // the session reader is serial: nothing can have linked after t yet.
 func (s *session) unlink(t *task) {
-	if t.nchains == 0 {
+	if t.done == nil {
 		return
 	}
 	s.omu.Lock()
-	for i := 0; i < t.nchains; i++ {
-		if s.chains[t.chainKeys[i]] == t.done {
-			if t.prev[i] != nil {
-				s.chains[t.chainKeys[i]] = t.prev[i]
-			} else {
-				delete(s.chains, t.chainKeys[i])
-			}
+	if s.chains[t.chainKey] == t.done {
+		if t.prev != nil {
+			s.chains[t.chainKey] = t.prev
+		} else {
+			delete(s.chains, t.chainKey)
 		}
 	}
 	s.omu.Unlock()
 }
 
-// finishChain marks t's chain positions complete, releasing any
-// successors, and reaps the chain-table entries where t is still the
-// tail.
+// finishChain marks t's chain position complete, releasing its
+// successor, and reaps the chain-table entry if t is still the tail.
 func (s *session) finishChain(t *task) {
-	if t.nchains == 0 {
+	if t.done == nil {
 		return
 	}
 	close(t.done)
 	s.omu.Lock()
-	for i := 0; i < t.nchains; i++ {
-		if s.chains[t.chainKeys[i]] == t.done {
-			delete(s.chains, t.chainKeys[i])
-		}
+	if s.chains[t.chainKey] == t.done {
+		delete(s.chains, t.chainKey)
 	}
 	s.omu.Unlock()
 }
