@@ -1,14 +1,14 @@
 # Developer checks. `make check` is the gate a change must pass: static
 # analysis, a full build, the race-enabled test suite, a schedule-
 # perturbation pass over the serve suites, a crash-consistency smoke
-# sweep over every file system plus the raw store, and a
-# machine-readable bench run whose JSON must validate.
+# sweep over every file system plus the raw store, fsck exit-code pins,
+# schema-validated bench runs, and the benchmark module's own tests.
 
 GO ?= go
 
-.PHONY: check vet build test race crashtest scrub repair faults bench-json serve servebench netfaults perturb aging shard
+.PHONY: check vet build test race crashtest scrub repair bench-json serve servebench perturb aging shard perfbench
 
-check: vet build race crashtest scrub repair faults serve servebench netfaults perturb aging shard bench-json
+check: vet build race crashtest scrub repair serve servebench perturb aging shard bench-json perfbench
 
 vet:
 	$(GO) vet ./...
@@ -19,12 +19,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The race-enabled suite is the one `make check` gates on: the
-# concurrent-mode stress tests (internal/betree/concurrent_test.go, the
-# parallel bench runner tests) are the repo's data-race canaries and are
-# only meaningful under the race detector.
+# The race-enabled suite is the one `make check` gates on, and the only
+# -race run per package: the concurrent-mode stress tests
+# (internal/betree/concurrent_test.go, the parallel bench runner tests),
+# the multi-client fault and write-death sweeps (internal/faulttest), the
+# pipelined wire path and its takeover races (internal/fsrpc,
+# internal/fsserve) and the seeded wire-cut torture sweep
+# (internal/nettest) are only meaningful under the race detector.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # Short crash sweep: prefix/torn/subset crash points on ext4, f2fs,
 # btrfs, betrfs-v0.6 and the SFL-backed store, checked against the
@@ -49,68 +52,27 @@ scrub:
 # exit codes pinned through a real binary: a -repair run over
 # recoverable damage (bad sectors under cached nodes, checksum flips)
 # relocates every image and exits 0, while the same damage without
-# -repair keeps the historical exit 3. The race-enabled sweep then
-# covers the library level across all five systems: scrub-driven
-# repair, write-path relocation, the disabled-relocation negative
-# controls, and the remap table's crash round-trip.
+# -repair keeps the historical exit 3.
 repair:
 	mkdir -p bin && $(GO) build -o bin/betrfsck ./cmd/betrfsck
 	./bin/betrfsck -mode=scrub -badsector=2 -seed=7 -repair > /dev/null
 	./bin/betrfsck -mode=scrub -corrupt=2 -seed=9 -repair > /dev/null
 	./bin/betrfsck -mode=scrub -badsector=2 -seed=7 > /dev/null 2>&1; test $$? -eq 3
-	$(GO) test -race -count=1 -run 'Repair|Relocat|ScrubHook|DefectRemap|RetryExhausted' \
-		./internal/faulttest/ ./internal/betree/ ./internal/crashtest/ ./internal/blockdev/
 
-# Deterministic fault-injection sweep (fixed seeds): transient faults
-# absorbed by retry, persistent write death degrading mounts read-only,
-# silent bit flips recovered by checksum re-reads, bad-sector EIO
-# propagation, ENOSPC semantics, the seeded multi-client storm on a
-# single concurrent mount across every file system, and the multi-seed
-# FaultPlan sweep under -clients (TestSeededFaultPlanSweep) — under the
-# race detector (the multi-client sweeps are only meaningful with it).
-faults:
-	$(GO) test -race -count=1 ./internal/faulttest/
-
-# Network file-service layer: protocol conformance (every wire op vs
-# the direct mount, identical statuses/attrs/data including EIO, ENOSPC
-# and EROFS mapping, across all five systems), backpressure (EBUSY shed
-# on a full queue, queue-wait deadline shed, graceful drain), and the
-# multi-client write-death contract under the race detector. Then a
-# deterministic serve-mode bench whose JSON must validate.
+# Network file-service layer: a deterministic serve-mode bench whose
+# JSON must validate.
 serve:
-	$(GO) test -race -count=1 -run 'Conformance|Saturation|QueueWait|Drain|OverWire|Handle|Sessions|ServeDeterministic|ServeDoc|ServerWriteDeath' \
-		./internal/fsrpc/ ./internal/fsserve/ ./internal/faulttest/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -serve -clients 4 -scale 256 -o BENCH_serve.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_serve.json
 
-# Async pipelined wire path (DESIGN.md §13): the multiplexing client
-# (out-of-order completion, window saturation, transport-death and
-# tag-mismatch poison, Reset), pipelined server execution (issue-order
-# writes per handle, per-session namespace ordering, concurrent
-# sessions), the scatter-gather frame equivalence, the buffered bench
-# transport, the §13 spec drift tests, and the pinned deterministic
-# goldens — all under the race detector. Then a concurrent serve run
-# with the pipelined-vs-serialized comparison pass whose schema-v4
-# JSON must validate.
+# Async pipelined wire path (DESIGN.md §13): a concurrent serve run with
+# the pipelined-vs-serialized comparison pass whose schema-v4 JSON must
+# validate.
 servebench:
-	$(GO) test -race -count=1 \
-		-run 'OutOfOrder|WindowSaturation|MidPipeline|TagMismatch|ResetRestarts|FrameParts|Pipelined|BufPipe|WireSpec|DocumentedMetrics|ServeGolden' \
-		./internal/fsrpc/ ./internal/fsserve/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -serve -workers 8 -clients 4 -scale 256 \
 		-o BENCH_serve_pipe.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_serve_pipe.json
 	rm -f BENCH_serve_pipe.json
-
-# Wire-level fault injection and session resumption (DESIGN.md §13.9):
-# the seeded multi-client torture sweep (mid-frame connection cuts vs a
-# fault-free oracle, byte-for-byte), the exactly-once replay tests
-# (DRC hits over re-execution, handle survival, typed lease expiry,
-# bounded redial give-up, PING keepalive), and the teardown races
-# (Reset/Close vs in-flight calls and the redial loop) — all only
-# meaningful under the race detector.
-netfaults:
-	$(GO) test -race -count=1 ./internal/nettest/
-	$(GO) test -race -count=1 -run 'ResetRacesInFlightGo|CloseRacesRedialLoop' ./internal/fsrpc/
 
 # Schedule perturbation: the serve, pipeline and wire-fault suites, and
 # the serve write-death sweep, without -race at -count=20 under one, two
@@ -118,40 +80,25 @@ netfaults:
 # timing can hide an ordering bug (a pipelined CREATE overtaking the
 # MKDIR of its directory passed every -race run and failed a third of
 # plain runs); varying GOMAXPROCS over repeated runs makes such a bug
-# fail most passes instead. The race runs above stay as they are.
+# fail most passes instead. `make race` still runs these suites under
+# -race.
 perturb:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/fsserve/ ./internal/nettest/ && \
 		GOMAXPROCS=$$p $(GO) test -count=20 -run 'ServerWriteDeath' ./internal/faulttest/ || exit 1; \
 	done
 
-# FTL aging rung (DESIGN.md §12): discard plumbing correctness under
-# the race detector — the crash sweeps over FTL-backed stacks, the
-# betree trim-queue rejection/two-generation tests, the FTL unit suite
-# — then the pinned write-amplification invariance test, and a fast
-# two-system aging run whose schema-v3 JSON must validate.
+# FTL aging rung (DESIGN.md §12): a fast two-system aging run whose
+# schema-v3 JSON must validate.
 aging:
-	$(GO) test -race -count=1 -run 'Discard|Trim|WAF|GC|FTL|PassThrough|SequentialOverwrite|Composes|CountersDeterministic|SubPage' \
-		./internal/ftl/ ./internal/crashtest/ ./internal/betree/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -aging -scale 4096 -systems f2fs,btrfs \
 		-o BENCH_aging_smoke.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_aging_smoke.json
 	rm -f BENCH_aging_smoke.json
 
-# Scale-out sharded service (DESIGN.md §14): the share registry and
-# block-class wire ops (ATTACH/BOPEN semantics, handle scoping, discard
-# forwarding), remote-vs-local blockstore equivalence (byte-identical
-# device images, identical EIO/ENOSPC surfacing through the wire), the
-# read cache's hit/miss/evict contract, the prefix shard map, the
-# 3-shard wire-vs-direct conformance suite, and the cross-shard
-# workload with per-shard metrics roll-up — all under the race
-# detector, plus the §14.3 spec drift test and the pinned deterministic
-# shard rung. Then a 3-shard bench run whose schema-v6 JSON must
-# validate.
+# Scale-out sharded service (DESIGN.md §14): a 3-shard bench run whose
+# schema-v6 JSON must validate.
 shard:
-	$(GO) test -race -count=1 ./internal/blockstore/... ./internal/controlplane/
-	$(GO) test -race -count=1 -run 'OverWire|Shard|BlockClassSpec|Discard' \
-		./internal/fsserve/ ./internal/bench/
 	$(GO) run ./cmd/betrbench -shard -shards 3 -scale 2048 \
 		-o BENCH_shard_smoke.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_shard_smoke.json
@@ -164,3 +111,9 @@ bench-json:
 	$(GO) run ./cmd/betrbench -table 1 -scale 1024 \
 		-systems ext4,betrfs-v0.4,betrfs-v0.6 -o BENCH_micro.json > /dev/null
 	$(GO) run ./cmd/betrbench -validate BENCH_micro.json
+
+# The benchmark module (perfbench/, its own go.mod over this one): vet
+# and its tests, without -race. Tier-1 never builds that module, so this
+# is what catches an API change that breaks the benchmark.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...

@@ -44,8 +44,6 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue depth; a full queue sheds requests with EBUSY")
 	queueWait := flag.Duration("queue-wait", 0, "max time a request may wait queued before being shed (0 = no deadline)")
 	maxHandles := flag.Int("max-handles", 128, "per-session open-handle cap (oldest evicted beyond it)")
-	directReads := flag.Bool("direct-reads", true, "execute read-class ops on the session reader, skipping the admission queue (DESIGN.md §13.5)")
-	inlineReplies := flag.Bool("inline-replies", false, "write each reply frame synchronously instead of batching through the session writer")
 	sessionLease := flag.Duration("session-lease", 2*time.Minute, "how long a disconnected named session (HELLO, DESIGN.md §13.9) survives without traffic before its handles close (0 = never expire)")
 	drcEntries := flag.Int("drc-entries", 256, "per-session duplicate-reply cache entries; must exceed the client window or slow replays are refused with ERETIRED")
 	shares := flag.String("shares", "", "extra mount shares, comma-separated name=system pairs (clients ATTACH by name; the primary mount is always exported as \"fs\")")
@@ -60,15 +58,13 @@ func main() {
 	}
 	reg := buildRegistry(in, *scale, *shares, *blockShares)
 	cfg := fsserve.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		QueueWait:     *queueWait,
-		MaxHandles:    *maxHandles,
-		DirectReads:   *directReads,
-		InlineReplies: *inlineReplies,
-		SessionLease:  *sessionLease,
-		DRCEntries:    *drcEntries,
-		Registry:      reg,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		QueueWait:    *queueWait,
+		MaxHandles:   *maxHandles,
+		SessionLease: *sessionLease,
+		DRCEntries:   *drcEntries,
+		Registry:     reg,
 	}
 	srv := fsserve.New(in.Env, in.Mount, cfg)
 

@@ -12,17 +12,17 @@ import "testing"
 var goldenMicro2048 = []MicroResults{
 	{
 		System:  "betrfs-v0.4",
-		SeqRead: 324.12785247771063, SeqWrite: 66.19076974691347,
-		Rand4K: 91.85451422141641, Rand4B: 0.8698852562731662,
+		SeqRead: 274.1045109319941, SeqWrite: 66.57459742319175,
+		Rand4K: 165.91774383413417, Rand4B: 0.8668465683690312,
 		TokuBench: 47.50774962053022,
-		Grep:      0.120253636, Rm: 0.444701632, Find: 0.003462474,
+		Grep:      0.120253636, Rm: 0.444999804, Find: 0.003462474,
 	},
 	{
 		System:  "betrfs-v0.6",
-		SeqRead: 651.196554479046, SeqWrite: 221.23567499315627,
-		Rand4K: 106.54223516825695, Rand4B: 1.1260827824801753,
+		SeqRead: 465.3677382999702, SeqWrite: 224.8136715697347,
+		Rand4K: 205.09220632267036, Rand4B: 0.8790772950602767,
 		TokuBench: 60.16142988267534,
-		Grep:      0.056641272, Rm: 0.066789297, Find: 0.002404118,
+		Grep:      0.056641272, Rm: 0.067342436, Find: 0.002404118,
 	},
 }
 

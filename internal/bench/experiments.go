@@ -5,21 +5,6 @@ import (
 	"betrfs/internal/workload"
 )
 
-// Cell is one measured benchmark value with its paper reference.
-type Cell struct {
-	System string
-	Value  float64 // measured, in Unit
-	Paper  float64 // the paper's value, 0 if not reported
-}
-
-// Column is one benchmark across all systems.
-type Column struct {
-	Name   string
-	Unit   string // "MB/s", "kop/s", "s"
-	Better string // "higher" or "lower"
-	Cells  []Cell
-}
-
 // MicroParams sizes the Table 1/3 microbenchmarks; Scaled() derives them
 // from the paper's sizes.
 type MicroParams struct {

@@ -101,6 +101,38 @@ func TestManyInsertsAcrossSplits(t *testing.T) {
 	}
 }
 
+// TestRootSplitUnderCachePressure grows a tree two interior levels deep
+// through a node cache that holds only a couple of nodes, so caching the
+// new root of a root split can evict whatever is not pinned. Every key
+// written must read back afterwards.
+func TestRootSplitUnderCachePressure(t *testing.T) {
+	env, s := testStore(t, func(c *Config) { c.CacheBytes = 128 << 10 })
+	tr := s.Meta()
+	splits := env.Metrics.Counter("betree.internal.split")
+	n := 0
+	for ; splits.Load() < 2; n++ {
+		if n == 10000 {
+			t.Fatalf("only %d internal splits after %d puts", splits.Load(), n)
+		}
+		if err := tr.Put(k(n), v(n, 4096), LogAuto); err != nil {
+			t.Fatalf("put %d: %v", n, err)
+		}
+	}
+	missing := 0
+	for i := 0; i < n; i++ {
+		got, ok, err := tr.Get(k(i))
+		if err != nil {
+			t.Fatalf("get %d: %v", i, err)
+		}
+		if !ok || !bytes.Equal(got, v(i, 4096)) {
+			missing++
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("%d of %d keys lost", missing, n)
+	}
+}
+
 func TestScanOrderAndCompleteness(t *testing.T) {
 	_, s := testStore(t, nil)
 	tr := s.Meta()

@@ -133,13 +133,6 @@ func (m *Msg) covers(key []byte) bool {
 		keys.Compare(m.Key, key) <= 0 && keys.Compare(key, m.EndKey) < 0
 }
 
-// coversRange reports whether a range-delete message fully covers the key
-// range [lo, hi).
-func (m *Msg) coversRange(lo, hi []byte) bool {
-	return m.Type == MsgRangeDelete &&
-		keys.Compare(m.Key, lo) <= 0 && keys.Compare(hi, m.EndKey) <= 0
-}
-
 // overlapsRange reports whether the message affects any key in [lo, hi).
 func (m *Msg) overlapsRange(lo, hi []byte) bool {
 	if m.Type == MsgRangeDelete {

@@ -598,8 +598,11 @@ func (t *Tree) splitRoot(old *node) {
 	}
 	newRoot.dirty.Store(true)
 	t.rootID = newRoot.id
-	s.cache.put(t, newRoot)
+	// Pin before caching: put may evict unpinned nodes, and writing back
+	// and dropping the new root while it names only old would lose the
+	// right half splitChild is about to hang off it.
 	newRoot.pins.Add(1)
+	s.cache.put(t, newRoot)
 	t.splitChild(newRoot, 0, old)
 	newRoot.pins.Add(-1)
 	t.markDirty(newRoot)

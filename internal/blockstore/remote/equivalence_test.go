@@ -31,7 +31,7 @@ func serveStore(t *testing.T, env *sim.Env, st blockstore.Store) (*remote.Store,
 	srv := fsserve.New(env, nil, cfg)
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeConn(srvEnd)
-	cli := fsrpc.NewClient(cliEnd)
+	cli := fsrpc.NewClientOpts(cliEnd, fsrpc.Options{})
 	rst, err := remote.Open(cli, "blk0")
 	if err != nil {
 		t.Fatalf("open remote store: %v", err)

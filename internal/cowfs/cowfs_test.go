@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"betrfs/internal/blockdev"
 	"betrfs/internal/sim"
@@ -106,16 +107,26 @@ func TestZFSRecordRMWAmplification(t *testing.T) {
 }
 
 func TestChecksumChargedOnReads(t *testing.T) {
-	env, _, _, m := newMount(t, ZFSProfile())
-	f, _ := m.Create("f")
-	f.Write(make([]byte, 1<<20))
-	m.Sync()
-	m.DropCaches()
-	before := env.Stats.Checksum
-	g, _ := m.Open("f")
-	buf := make([]byte, 1<<20)
-	g.ReadAt(buf, 0)
-	if env.Stats.Checksum <= before {
+	// coldRead returns the clock advance of a cold 1 MiB read on an env
+	// whose checksum cost is psPerByte; everything else is identical, so
+	// the two runs differ only by the verification the read path charges.
+	coldRead := func(psPerByte int64) time.Duration {
+		env := sim.NewEnv(1)
+		env.Costs.ChecksumPsPerByte = psPerByte
+		dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
+		cfg := vfs.DefaultConfig()
+		cfg.CacheBytes = 64 << 20
+		m := vfs.NewMount(env, New(env, dev, ZFSProfile()), cfg)
+		f, _ := m.Create("f")
+		f.Write(make([]byte, 1<<20))
+		m.Sync()
+		m.DropCaches()
+		g, _ := m.Open("f")
+		start := env.Now()
+		g.ReadAt(make([]byte, 1<<20), 0)
+		return env.Now() - start
+	}
+	if coldRead(sim.DefaultCosts().ChecksumPsPerByte) <= coldRead(0) {
 		t.Fatal("reads did not charge checksum verification")
 	}
 }

@@ -106,17 +106,6 @@ func SubsetSpecs(count int, baseSeed uint64, keepPct int) []CrashSpec {
 	return out
 }
 
-// SampledPrefixSpecs draws count prefix points in [0, n] (for long
-// workloads where exhaustive enumeration is too slow).
-func SampledPrefixSpecs(count int, baseSeed uint64, n int) []CrashSpec {
-	rnd := sim.NewRand(baseSeed)
-	out := make([]CrashSpec, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, CrashSpec{Kind: CrashPrefix, Keep: rnd.Intn(n + 1)})
-	}
-	return out
-}
-
 func mountConfig() vfs.Config {
 	cfg := vfs.DefaultConfig()
 	cfg.CacheBytes = 128 << 20

@@ -305,7 +305,7 @@ func TestScrubHookAcrossSystems(t *testing.T) {
 }
 
 // TestConcurrentClientsUnderFaultPlan is the seeded multi-client fault
-// sweep (run under -race by `make faults`): several client goroutines
+// sweep (run under -race by `make race`): several client goroutines
 // hammer one concurrently-configured mount while a transient fault plan
 // fires underneath, with periodic online scrub-repair passes mixed in.
 // Goroutine interleaving makes exact state nondeterministic, so the

@@ -19,7 +19,7 @@ func dialServe(t *testing.T, srv *fsserve.Server) *fsrpc.Client {
 	t.Helper()
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeConn(srvEnd)
-	cli := fsrpc.NewClient(cliEnd)
+	cli := fsrpc.NewClientOpts(cliEnd, fsrpc.Options{})
 	t.Cleanup(func() { cli.Close() })
 	return cli
 }

@@ -11,7 +11,7 @@ import (
 // multi-client fault storm of TestConcurrentClientsUnderFaultPlan, but
 // swept across several FaultPlan seeds so the assertion covers fault
 // timings the single fixed seed never exercises (run under -race by
-// `make faults`). Each seed drives 4 client goroutines against one
+// `make race`). Each seed drives 4 client goroutines against one
 // concurrently-configured betrfs-v0.6 mount while transient read and
 // write faults fire underneath; the contract per seed is the same:
 // errno-class errors only, every injected fault absorbed by retry, no

@@ -77,23 +77,8 @@ type Client struct {
 	replay   []*Call       // fate-unknown calls awaiting resume (hold window slots)
 }
 
-// NewClient wraps an established connection (a net.Conn or one end of a
-// net.Pipe) with the default in-flight window.
-func NewClient(rw io.ReadWriteCloser) *Client {
-	return NewClientWindow(rw, DefaultWindow)
-}
-
-// NewClientWindow wraps an established connection with an explicit bound
-// on calls in flight. window < 1 means 1 (fully serialized, the historical
-// behavior).
-func NewClientWindow(rw io.ReadWriteCloser, window int) *Client {
-	if window < 1 {
-		window = 1
-	}
-	return NewClientOpts(rw, Options{Window: window})
-}
-
-// NewClientOpts wraps an established connection with full Options.
+// NewClientOpts wraps an established connection (a net.Conn or one end of
+// a net.Pipe) with the given Options.
 func NewClientOpts(rw io.ReadWriteCloser, o Options) *Client {
 	if o.Window < 1 {
 		if o.Window == 0 {

@@ -15,8 +15,8 @@ import (
 // from reqs and push replies through send, controlling completion order
 // precisely — something a real server cannot script.
 type peer struct {
-	conn net.Conn
-	reqs chan *Request
+	conn  net.Conn
+	reqs  chan *Request
 	errCh chan error
 }
 
@@ -41,7 +41,7 @@ func newPeer(t *testing.T) (*Client, *peer) {
 			p.reqs <- q
 		}
 	}()
-	return NewClient(cliEnd), p
+	return NewClientOpts(cliEnd, Options{}), p
 }
 
 func (p *peer) reply(t *testing.T, r *Reply) {
@@ -119,7 +119,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 // wait.
 func TestWindowSaturationBlocks(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
-	cli := NewClientWindow(cliEnd, 2)
+	cli := NewClientOpts(cliEnd, Options{Window: 2})
 	defer cli.Close()
 	p := &peer{conn: srvEnd, reqs: make(chan *Request, 64), errCh: make(chan error, 1)}
 	go func() {
@@ -344,7 +344,7 @@ func echoServe(conn net.Conn) {
 func TestResetRacesInFlightGo(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
 	go echoServe(srvEnd)
-	cli := NewClientWindow(cliEnd, 8)
+	cli := NewClientOpts(cliEnd, Options{Window: 8})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -397,7 +397,7 @@ func TestResetRacesInFlightGo(t *testing.T) {
 func TestCloseRacesRedialLoop(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
 	go echoServe(srvEnd)
-	cli := NewClient(cliEnd)
+	cli := NewClientOpts(cliEnd, Options{})
 	dialing := make(chan struct{}, 8)
 	if err := cli.EnableRedial(func() (io.ReadWriteCloser, error) {
 		dialing <- struct{}{}

@@ -21,11 +21,6 @@ func FromVFS(a vfs.Attr) Attr {
 	return Attr{Dir: a.Dir, Size: a.Size, Nlink: a.Nlink, Mtime: a.Mtime}
 }
 
-// VFS converts a wire Attr back to vfs.Attr.
-func (a Attr) VFS() vfs.Attr {
-	return vfs.Attr{Dir: a.Dir, Size: a.Size, Nlink: a.Nlink, Mtime: a.Mtime}
-}
-
 // DirEnt is one READDIR reply entry.
 type DirEnt struct {
 	Name string

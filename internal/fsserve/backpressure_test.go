@@ -13,19 +13,17 @@ import (
 )
 
 // parkableServer builds a server whose single worker parks inside
-// execute on the first STATFS request until gate is closed, signalling
-// on parked once it is stuck. Every other op passes straight through.
+// execute on every MKDIR request until gate is closed, signalling on
+// parked once it is stuck. Every other op passes straight through. The
+// tests drive mutations (MKDIR, UNLINK), the op class that always goes
+// through the admission queue, so they exercise its backpressure.
 func parkableServer(t *testing.T, cfg fsserve.Config) (in *bench.Instance, srv *fsserve.Server, release func(), parked chan struct{}) {
 	t.Helper()
 	in = bench.BuildConcurrent("ext4", 256, 1)
-	// These tests drive read-class ops (STATFS/GETATTR) through the
-	// admission queue to exercise backpressure; the DirectReads fast path
-	// would serve them on the session reader and bypass it.
-	cfg.DirectReads = false
 	gate := make(chan struct{})
 	parked = make(chan struct{}, 4)
 	cfg.OnExecute = func(op fsrpc.Op) {
-		if op == fsrpc.OpStatfs {
+		if op == fsrpc.OpMkdir {
 			parked <- struct{}{}
 			<-gate
 		}
@@ -63,28 +61,22 @@ func TestSaturationShedsEBUSY(t *testing.T) {
 	in, srv, release, parked := parkableServer(t, cfg)
 
 	parkCli := dial(t, srv)
-	statfsErr := make(chan error, 1)
-	go func() {
-		_, err := parkCli.Statfs()
-		statfsErr <- err
-	}()
+	parkErr := make(chan error, 1)
+	go func() { parkErr <- parkCli.Mkdir("parked") }()
 	<-parked
 
 	// Two requests fit the queue while the worker is stuck.
 	queued := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		cli := dial(t, srv)
-		go func() {
-			_, err := cli.Getattr("missing")
-			queued <- err
-		}()
+		go func() { queued <- cli.Unlink("missing") }()
 	}
 	depth := in.Env.Metrics.Gauge("fsserve.queue.depth")
 	waitCond(t, "queue to fill", func() bool { return depth.Load() == 2 })
 
 	// The third is shed synchronously with EBUSY.
 	shedCli := dial(t, srv)
-	if _, err := shedCli.Getattr("missing"); !errors.Is(err, fsrpc.ErrBusy) {
+	if err := shedCli.Unlink("missing"); !errors.Is(err, fsrpc.ErrBusy) {
 		t.Fatalf("request on full queue = %v, want EBUSY", err)
 	}
 	if got := in.Env.Metrics.Counter("fsserve.queue.shed").Load(); got < 1 {
@@ -93,12 +85,12 @@ func TestSaturationShedsEBUSY(t *testing.T) {
 
 	// Release the worker: the parked op and both queued ops complete.
 	release()
-	if err := <-statfsErr; err != nil {
-		t.Fatalf("parked statfs: %v", err)
+	if err := <-parkErr; err != nil {
+		t.Fatalf("parked mkdir: %v", err)
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-queued; !errors.Is(err, vfs.ErrNotExist) {
-			t.Fatalf("queued getattr after release = %v, want ENOENT", err)
+			t.Fatalf("queued unlink after release = %v, want ENOENT", err)
 		}
 	}
 }
@@ -114,29 +106,23 @@ func TestQueueWaitShedsStaleRequests(t *testing.T) {
 	in, srv, release, parked := parkableServer(t, cfg)
 
 	parkCli := dial(t, srv)
-	statfsErr := make(chan error, 1)
-	go func() {
-		_, err := parkCli.Statfs()
-		statfsErr <- err
-	}()
+	parkErr := make(chan error, 1)
+	go func() { parkErr <- parkCli.Mkdir("parked") }()
 	<-parked
 
 	const stale = 3
 	queued := make(chan error, stale)
 	for i := 0; i < stale; i++ {
 		cli := dial(t, srv)
-		go func() {
-			_, err := cli.Getattr("missing")
-			queued <- err
-		}()
+		go func() { queued <- cli.Unlink("missing") }()
 	}
 	depth := in.Env.Metrics.Gauge("fsserve.queue.depth")
 	waitCond(t, "queue to fill", func() bool { return depth.Load() == stale })
 	time.Sleep(20 * time.Millisecond) // let every queued request expire
 	release()
 
-	if err := <-statfsErr; err != nil {
-		t.Fatalf("parked statfs: %v", err)
+	if err := <-parkErr; err != nil {
+		t.Fatalf("parked mkdir: %v", err)
 	}
 	for i := 0; i < stale; i++ {
 		if err := <-queued; !errors.Is(err, fsrpc.ErrBusy) {
@@ -158,11 +144,8 @@ func TestGracefulDrain(t *testing.T) {
 	in, srv, release, parked := parkableServer(t, cfg)
 
 	parkCli := dial(t, srv)
-	statfsErr := make(chan error, 1)
-	go func() {
-		_, err := parkCli.Statfs()
-		statfsErr <- err
-	}()
+	parkErr := make(chan error, 1)
+	go func() { parkErr <- parkCli.Mkdir("parked") }()
 	<-parked
 
 	lateCli := dial(t, srv) // connected before the drain begins
@@ -184,7 +167,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitCond(t, "drain to start", func() bool { return drainCtr.Load() == 1 })
 
 	// While draining, new requests on existing connections get ESHUTDOWN.
-	if _, err := lateCli.Getattr("x"); !errors.Is(err, fsrpc.ErrShutdown) {
+	if err := lateCli.Unlink("x"); !errors.Is(err, fsrpc.ErrShutdown) {
 		t.Fatalf("request while draining = %v, want ESHUTDOWN", err)
 	}
 	select {
@@ -195,8 +178,8 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Releasing the worker lets the in-flight reply out and the drain end.
 	release()
-	if err := <-statfsErr; err != nil {
-		t.Fatalf("in-flight statfs reply lost during drain: %v", err)
+	if err := <-parkErr; err != nil {
+		t.Fatalf("in-flight mkdir reply lost during drain: %v", err)
 	}
 	<-done
 	if got := in.Env.Metrics.Counter("fsserve.drain.count").Load(); got != 1 {
@@ -205,7 +188,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	// A connection arriving after shutdown is refused outright.
 	refused := dial(t, srv)
-	if _, err := refused.Getattr("x"); err == nil {
+	if err := refused.Unlink("x"); err == nil {
 		t.Fatal("request on post-shutdown connection succeeded")
 	}
 }

@@ -24,7 +24,7 @@ func TestClientPoisonedAndReset(t *testing.T) {
 
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeConn(srvEnd)
-	cli := fsrpc.NewClient(cliEnd)
+	cli := fsrpc.NewClientOpts(cliEnd, fsrpc.Options{})
 	defer cli.Close()
 
 	if err := cli.Mkdir("dir"); err != nil {
@@ -103,7 +103,7 @@ func TestClosePoisonsClient(t *testing.T) {
 
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeConn(srvEnd)
-	cli := fsrpc.NewClient(cliEnd)
+	cli := fsrpc.NewClientOpts(cliEnd, fsrpc.Options{})
 	if err := cli.Mkdir("d"); err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}

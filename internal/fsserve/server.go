@@ -70,24 +70,10 @@ type Config struct {
 	// and write each reply synchronously, one frame per write, with no
 	// batching or zero-copy framing. This is the pre-pipeline baseline;
 	// the serve benchmark uses it to measure the batched path against the
-	// old one in a single run. Leave false in production.
+	// old one in a single run. It also turns off the direct path for
+	// chainless requests (serveDirect), so every request goes through the
+	// worker pool. Leave false in production.
 	InlineReplies bool
-	// DirectReads executes chainless (read-class) requests on the session
-	// reader goroutine itself instead of handing them to the worker pool:
-	// LOOKUP/GETATTR/READ/READDIR/STATFS skip the queue handoff and reply
-	// from the same goroutine that decoded them. §13.5 already allows
-	// reads to complete out of order relative to queued mutations, so the
-	// only cost is that reads from one session no longer overlap each
-	// other — in exchange every read saves two scheduler handoffs, which
-	// dominates small-op latency. Mutations stay in the worker pool on
-	// purpose: they are the expensive op class, and executing them on the
-	// reader would head-of-line block every other request multiplexed on
-	// the connection behind one slow commit. Backpressure still exists:
-	// the reader cannot read ahead while executing, so a read-heavy
-	// session is naturally limited to one direct op in flight. Disabled
-	// automatically in the InlineReplies baseline, and by tests that need
-	// reads to traverse the admission queue.
-	DirectReads bool
 	// SessionLease is how long a named session (HELLO, DESIGN.md §13.9)
 	// survives without traffic: a detached session idle past the lease is
 	// expired — its handle table closes and a later HELLO with its token
@@ -105,13 +91,13 @@ type Config struct {
 	// expire sessions deterministically; leave nil in production.
 	LeaseNow func() time.Time
 	// ExecSlots bounds how many requests execute against the mount at
-	// once, across the worker pool and the DirectReads fast path. The
-	// mount big lock serializes the FS work regardless, so slots beyond
-	// the CPU count buy no overlap — they only pile waiters onto the
-	// mutex, whose barging hand-off lets an unlucky request wait out the
-	// full 1ms starvation threshold under load. The gate is a channel
-	// semaphore, so waiters queue FIFO and the execution tail is bounded
-	// by queue depth instead. 0 (the default) sizes the gate to
+	// once, across the worker pool and the direct path for chainless
+	// requests. The mount big lock serializes the FS work regardless, so
+	// slots beyond the CPU count buy no overlap — they only pile waiters
+	// onto the mutex, whose barging hand-off lets an unlucky request wait
+	// out the full 1ms starvation threshold under load. The gate is a
+	// channel semaphore, so waiters queue FIFO and the execution tail is
+	// bounded by queue depth instead. 0 (the default) sizes the gate to
 	// GOMAXPROCS; negative disables it. Chain waits happen before the
 	// gate, so a slot is never held by a request waiting on a
 	// predecessor.
@@ -125,7 +111,7 @@ type Config struct {
 
 // DefaultConfig returns the deterministic single-worker configuration.
 func DefaultConfig() Config {
-	return Config{Workers: 1, QueueDepth: 64, MaxHandles: 128, DirectReads: true}
+	return Config{Workers: 1, QueueDepth: 64, MaxHandles: 128}
 }
 
 func (c Config) withDefaults() Config {
@@ -335,7 +321,7 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 		if s.cfg.SessionLease > 0 {
 			sess.touch(s.now())
 		}
-		if s.cfg.DirectReads && !sess.inline {
+		if !sess.inline {
 			if _, ok := chainKey(req); !ok {
 				if st := s.serveDirect(sess, req); st != fsrpc.StatusOK {
 					s.m.statusErr.Inc()
@@ -354,8 +340,16 @@ func (s *Server) ServeConn(rw io.ReadWriteCloser) error {
 	}
 }
 
-// serveDirect is the DirectReads request fast path: execute a chainless
-// request on the calling (session reader) goroutine and stage its reply.
+// serveDirect is the fast path for chainless (read-class) requests:
+// LOOKUP/GETATTR/READ/READDIR/STATFS execute on the calling session
+// reader goroutine and stage their reply, skipping the worker-pool
+// handoff. §13.5 already lets reads complete out of order relative to
+// queued mutations, so the only cost is that reads from one session no
+// longer overlap each other; in exchange every read saves two scheduler
+// handoffs, which dominate small-op latency. Mutations stay in the pool:
+// they are the expensive op class, and running one on the reader would
+// head-of-line block every request multiplexed behind it. Backpressure
+// still holds, since the reader cannot read ahead while executing.
 // Accounting mirrors admit/worker exactly — the inflight count is raised
 // under the state lock so Shutdown's drain barrier cannot miss it, and
 // the pipeline-depth sample and gauge decrements are identical — so the
@@ -404,13 +398,18 @@ func (s *Server) admit(t *task) fsrpc.Status {
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	t.sess.link(t)
+	// Raise the depth before enqueueing: a worker may dequeue, execute
+	// and decrement before this goroutine runs again, and sampling after
+	// that would record the request at depth 0.
+	depth := t.sess.outstanding.Add(1)
 	select {
 	case s.queue <- t:
 		s.m.queueDepth.Add(1)
 		s.m.inflight.Add(1)
-		s.m.pipeDepth.Observe(t.sess.outstanding.Add(1))
+		s.m.pipeDepth.Observe(depth)
 		return fsrpc.StatusOK
 	default:
+		t.sess.outstanding.Add(-1)
 		t.sess.unlink(t)
 		s.inflight.Done()
 		return fsrpc.StatusBusy

@@ -175,7 +175,7 @@ func chainKey(q *fsrpc.Request) (key uint64, ok bool) {
 		// write→flush applies in issue order. Block and file handles are
 		// separate id spaces sharing one chain-key space; a collision
 		// only over-serializes, never misorders. BREAD stays chainless
-		// (DirectReads fast path), like READ.
+		// (serveDirect fast path), like READ.
 		return q.Handle | handleKeyBit, true
 	case fsrpc.OpCreate, fsrpc.OpMkdir, fsrpc.OpUnlink, fsrpc.OpRmdir, fsrpc.OpRename:
 		return namespaceKey, true

@@ -73,7 +73,7 @@ func TestQueuedMutationFromTakenOverConnHitsSharedDRC(t *testing.T) {
 	gate := make(chan struct{})
 	parked := make(chan struct{}, 1)
 	var park atomic.Bool
-	cfg := fsserve.DefaultConfig() // Workers=1, DirectReads on
+	cfg := fsserve.DefaultConfig() // Workers=1
 	cfg.ExecSlots = -1             // HELLO must not wait behind the parked worker
 	cfg.OnExecute = func(op fsrpc.Op) {
 		if op == fsrpc.OpMkdir && park.CompareAndSwap(true, false) {
@@ -186,12 +186,14 @@ func TestAttachedSessionIsTakenOverNotExpired(t *testing.T) {
 // makes the session reader stamp the lease clock, reading the state's
 // token — while HELLO promotes the anonymous state on a worker, naming it
 // in place. Run under -race this pins that the promotion publishes the
-// token safely.
+// token safely. InlineReplies is the configuration that runs HELLO on a
+// worker: with the reply writer on, chainless ops (HELLO among them)
+// execute on the session reader itself.
 func TestHelloPromoteRacesPipelinedTraffic(t *testing.T) {
 	in := bench.Build("betrfs-v0.6", 256)
 	cfg := fsserve.DefaultConfig()
 	cfg.Workers = 4
-	cfg.DirectReads = false // HELLO and reads run on workers, concurrently
+	cfg.InlineReplies = true // HELLO and reads run on workers, concurrently
 	cfg.SessionLease = time.Minute
 	srv := fsserve.New(in.Env, in.Mount, cfg)
 	defer srv.Shutdown()

@@ -184,10 +184,6 @@ func (d *Dev) Size() int64 { return d.dev.Size() }
 // Stats returns the wrapped device's I/O statistics.
 func (d *Dev) Stats() *blockdev.Stats { return d.dev.Stats() }
 
-// Inner returns the wrapped device (tests reach through for crash and
-// corruption injection, which operate on media content, not mappings).
-func (d *Dev) Inner() blockdev.Device { return d.dev }
-
 // WAFMilli returns the current write amplification factor in thousandths
 // (flash bytes programmed per host byte written); 0 before any write.
 func (d *Dev) WAFMilli() int64 {

@@ -119,16 +119,6 @@ func FileDataRange(path string) (lo, hi []byte) {
 	return SubtreeRange(path)
 }
 
-// ChildRange returns the metadata-index range containing exactly the
-// direct children of directory path (not deeper descendants). Children are
-// keys with prefix enc(path)+Sep that contain no further separator; since
-// deeper keys contain an extra Sep which sorts first, direct children are
-// interleaved with their own subtrees, so callers iterating [lo,hi) must
-// skip grandchildren. Use ScanChildren for that logic.
-func ChildRange(path string) (lo, hi []byte) {
-	return SubtreeRange(path)
-}
-
 // IsDirectChild reports whether key (a metadata key) is a direct child of
 // the directory whose encoded key is dirKey.
 func IsDirectChild(dirKey, key []byte) bool {

@@ -133,7 +133,7 @@ func (a *Allocator) Cooperative() bool { return a.cooperative }
 func (a *Allocator) Stats() *Stats { return &a.stats }
 
 func (a *Allocator) charge(d time.Duration) {
-	a.env.ChargeAlloc(d)
+	a.env.Charge(d)
 	a.stats.Time += d
 }
 

@@ -3,6 +3,7 @@ package sfl
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"betrfs/internal/blockdev"
 	"betrfs/internal/sim"
@@ -55,12 +56,20 @@ func TestFilesAreDisjoint(t *testing.T) {
 }
 
 func TestDirectIONoCopyCharges(t *testing.T) {
-	env, _, s := newSFL(t)
-	f := s.File("data")
-	buf := make([]byte, 1<<20)
-	before := env.Stats.Memcpy
-	f.WriteAt(buf, 0)
-	if env.Stats.Memcpy != before {
+	// write returns the clock advance of a 1 MiB SFL write on an env whose
+	// memcpy cost is psPerByte: zero-copy I/O takes the same time at any.
+	write := func(psPerByte int64) time.Duration {
+		env := sim.NewEnv(1)
+		env.Costs.MemcpyPsPerByte = psPerByte
+		s, err := NewDefault(env, blockdev.New(env, blockdev.SamsungEVO860().Scale(64)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := env.Now()
+		s.File("data").WriteAt(make([]byte, 1<<20), 0)
+		return env.Now() - start
+	}
+	if write(sim.DefaultCosts().MemcpyPsPerByte) != write(0) {
 		t.Fatal("SFL charged a memcpy: it must be zero-copy direct I/O")
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync/atomic"
 	"time"
 
 	"betrfs/internal/metrics"
@@ -26,40 +25,6 @@ type Env struct {
 	// bit-identical; with more workers, tasks run on goroutines. See
 	// DESIGN.md §9.
 	Pool *WorkerPool
-
-	// Stats accumulates coarse CPU accounting by category so experiments
-	// can report where simulated time went. Updates are atomic adds, so
-	// concurrent components may charge freely; because adds commute, the
-	// totals are deterministic for a given workload.
-	Stats CPUStats
-}
-
-// CPUStats tallies simulated CPU time by broad category. Fields are
-// updated with atomic adds; read them after concurrent work has drained
-// (or via Total, which loads atomically).
-type CPUStats struct {
-	Memcpy    time.Duration
-	Checksum  time.Duration
-	Compare   time.Duration
-	Serialize time.Duration
-	Alloc     time.Duration
-	Other     time.Duration
-}
-
-// addDur atomically adds d to the duration at p. time.Duration's
-// underlying type is int64, so the pointer conversion is well-defined.
-func addDur(p *time.Duration, d time.Duration) {
-	atomic.AddInt64((*int64)(p), int64(d))
-}
-
-func loadDur(p *time.Duration) time.Duration {
-	return time.Duration(atomic.LoadInt64((*int64)(p)))
-}
-
-// Total returns the total CPU time across categories.
-func (s *CPUStats) Total() time.Duration {
-	return loadDur(&s.Memcpy) + loadDur(&s.Checksum) + loadDur(&s.Compare) +
-		loadDur(&s.Serialize) + loadDur(&s.Alloc) + loadDur(&s.Other)
 }
 
 // NewEnv returns an environment with default costs and the given seed. The
@@ -92,7 +57,6 @@ func (e *Env) Trace(layer, op, key string, value int64) {
 // Charge advances the clock by a fixed CPU cost.
 func (e *Env) Charge(d time.Duration) {
 	e.Clock.Advance(d)
-	addDur(&e.Stats.Other, d)
 }
 
 func psCost(bytes int, psPerByte int64) time.Duration {
@@ -101,46 +65,22 @@ func psCost(bytes int, psPerByte int64) time.Duration {
 
 // Memcpy charges for copying n bytes.
 func (e *Env) Memcpy(n int) {
-	d := psCost(n, e.Costs.MemcpyPsPerByte)
-	e.Clock.Advance(d)
-	addDur(&e.Stats.Memcpy, d)
-	if memcpyTrap > 0 && loadDur(&e.Stats.Memcpy) > memcpyTrap {
-		panic("memcpy trap")
-	}
+	e.Clock.Advance(psCost(n, e.Costs.MemcpyPsPerByte))
 }
-
-// memcpyTrap is a debugging aid: panic when cumulative memcpy passes it.
-var memcpyTrap = time.Duration(0)
-
-// SetMemcpyTrap arms the trap (tests/debugging only; set it before any
-// concurrent work starts).
-func SetMemcpyTrap(d time.Duration) { memcpyTrap = d }
 
 // Checksum charges for checksumming n bytes.
 func (e *Env) Checksum(n int) {
-	d := psCost(n, e.Costs.ChecksumPsPerByte)
-	e.Clock.Advance(d)
-	addDur(&e.Stats.Checksum, d)
+	e.Clock.Advance(psCost(n, e.Costs.ChecksumPsPerByte))
 }
 
 // Serialize charges for encoding or decoding n bytes of structured data.
 func (e *Env) Serialize(n int) {
-	d := psCost(n, e.Costs.SerializePsPerByte)
-	e.Clock.Advance(d)
-	addDur(&e.Stats.Serialize, d)
+	e.Clock.Advance(psCost(n, e.Costs.SerializePsPerByte))
 }
 
 // Compare charges for one key comparison that inspected n bytes.
 func (e *Env) Compare(n int) {
-	d := e.Costs.CompareBase + psCost(n, e.Costs.ComparePsPerByte)
-	e.Clock.Advance(d)
-	addDur(&e.Stats.Compare, d)
-}
-
-// ChargeAlloc advances the clock by an allocation-related CPU cost.
-func (e *Env) ChargeAlloc(d time.Duration) {
-	e.Clock.Advance(d)
-	addDur(&e.Stats.Alloc, d)
+	e.Clock.Advance(e.Costs.CompareBase + psCost(n, e.Costs.ComparePsPerByte))
 }
 
 // CompareBulk charges for n key comparisons of avgLen bytes each in one
@@ -151,7 +91,5 @@ func (e *Env) CompareBulk(n int, avgLen int) {
 	if n <= 0 {
 		return
 	}
-	d := time.Duration(n)*e.Costs.CompareBase + psCost(n*avgLen, e.Costs.ComparePsPerByte)
-	e.Clock.Advance(d)
-	addDur(&e.Stats.Compare, d)
+	e.Clock.Advance(time.Duration(n)*e.Costs.CompareBase + psCost(n*avgLen, e.Costs.ComparePsPerByte))
 }

@@ -66,12 +66,6 @@ func TestEnvCharges(t *testing.T) {
 	if env.Now() <= before {
 		t.Fatal("compare charged no time")
 	}
-	if env.Stats.Memcpy == 0 || env.Stats.Compare == 0 {
-		t.Fatalf("stats not accumulated: %+v", env.Stats)
-	}
-	if env.Stats.Total() != env.Now() {
-		t.Fatalf("stats total %v != clock %v", env.Stats.Total(), env.Now())
-	}
 }
 
 func TestRandDeterministic(t *testing.T) {

@@ -33,11 +33,20 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestStackingChargesCopies(t *testing.T) {
-	env, b := newBackend(t)
-	f := b.File("data")
-	before := env.Stats.Memcpy
-	f.WriteAt(make([]byte, 1<<20), 0)
-	if env.Stats.Memcpy <= before {
+	// write returns the clock advance of a 1 MiB stacked write on an env
+	// whose memcpy cost is psPerByte, and the backend it wrote through.
+	write := func(psPerByte int64) (time.Duration, *Backend) {
+		env := sim.NewEnv(1)
+		env.Costs.MemcpyPsPerByte = psPerByte
+		dev := blockdev.New(env, blockdev.SamsungEVO860().Scale(64))
+		b := New(env, extfs.New(env, dev, extfs.Ext4Profile()), DefaultLayout(dev.Size()))
+		start := env.Now()
+		b.File("data").WriteAt(make([]byte, 1<<20), 0)
+		return env.Now() - start, b
+	}
+	free, _ := write(0)
+	charged, b := write(sim.DefaultCosts().MemcpyPsPerByte)
+	if charged <= free {
 		t.Fatal("stacked write must pay the lower page-cache copy (§2.3)")
 	}
 	if b.Stats().BytesCopied < 1<<20 {

@@ -156,22 +156,6 @@ func (f *File) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Seek sets the cursor (whence 0 = absolute, 1 = relative, 2 = from end)
-// and returns the new position.
-func (f *File) Seek(off int64, whence int) (int64, error) {
-	f.m.lock()
-	defer f.m.unlock()
-	switch whence {
-	case 1:
-		f.pos += off
-	case 2:
-		f.pos = f.ino.attr.Size + off
-	default:
-		f.pos = off
-	}
-	return f.pos, nil
-}
-
 // WriteAt writes p at offset off, through the page cache. Full-page
 // overwrites never read; sub-page writes to uncached blocks either use the
 // FS's blind-write path (WODs, §2.1) or fall back to read-modify-write.

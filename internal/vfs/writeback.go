@@ -38,7 +38,7 @@ func (m *Mount) cowIfPinned(ino *inode, blk int64, pg *Page, fullOverwrite bool)
 		m.env.Memcpy(PageSize)
 		copy(npg.Data, pg.Data)
 	}
-	m.env.ChargeAlloc(m.env.Costs.KmallocBase)
+	m.env.Charge(m.env.Costs.KmallocBase)
 	ino.pages[blk] = npg
 	return npg
 }
